@@ -7,6 +7,7 @@
 * :mod:`repro.core.verification` — heavy-group bookkeeping and candidate
   set materialization (Section III-C, Algorithm 2).
 * :mod:`repro.core.netfilter` — the two-phase protocol (Algorithm 1).
+* :mod:`repro.core.driver` — the phase driver every netFilter caller runs.
 * :mod:`repro.core.naive` — the naive full-collection baseline
   (Section IV-B).
 * :mod:`repro.core.oracle` — centralized ground truth for exactness tests.

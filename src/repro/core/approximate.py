@@ -146,14 +146,13 @@ class ApproximateIFIProtocol:
     def run(self, engine: AggregationEngine) -> ApproximateResult:
         """One approximate-IFI round over the engine's hierarchy."""
         network = engine.network
-        before = network.accounting.bytes_by_category()
+        with network.accounting.measure() as spent:
+            grand_total, n_participants = engine.run(totals_spec())
+            threshold = max(int(np.ceil(self.config.threshold_ratio * grand_total)), 1)
+            local_threshold = threshold / max(float(n_participants), 1.0)
 
-        grand_total, n_participants = engine.run(totals_spec())
-        threshold = max(int(np.ceil(self.config.threshold_ratio * grand_total)), 1)
-        local_threshold = threshold / max(float(n_participants), 1.0)
-
-        nominated: LocalItemSet = engine.run(self._nomination_spec(local_threshold))
-        flat = engine.run(self._sketch_spec())
+            nominated: LocalItemSet = engine.run(self._nomination_spec(local_threshold))
+            flat = engine.run(self._sketch_spec())
         sketch = CountMinSketch.from_vector(
             flat, self._template.width, self._template.depth, self._template.seed
         )
@@ -162,23 +161,12 @@ class ApproximateIFIProtocol:
         keep = estimates >= threshold
         reported = LocalItemSet(nominated.ids[keep], estimates[keep])
 
-        after = network.accounting.bytes_by_category()
-        population = network.n_peers
-        breakdown = CostBreakdown(
-            sketch=(
-                after.get(CostCategory.SKETCH, 0) - before.get(CostCategory.SKETCH, 0)
-            )
-            / population,
-            control=(
-                after.get(CostCategory.CONTROL, 0)
-                - before.get(CostCategory.CONTROL, 0)
-            )
-            / population,
-        )
         return ApproximateResult(
             reported=reported,
             threshold=threshold,
             grand_total=int(grand_total),
-            breakdown=breakdown,
+            breakdown=spent.breakdown(
+                network.n_peers, CostCategory.SKETCH, CostCategory.CONTROL
+            ),
             config=self.config,
         )

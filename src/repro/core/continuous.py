@@ -61,11 +61,10 @@ from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
 from repro.core.decay import DecayConfig
 from repro.core.filters import FilterBank
-from repro.core.netfilter import NetFilterResult, totals_spec, verification_spec
-from repro.core.verification import HeavyGroups, materialize_candidates
+from repro.core.driver import AttemptFailure, Fold, NetFilterResult, run_attempt
+from repro.core.netfilter import filtering_spec, verification_spec
 from repro.errors import AggregationError, ConfigurationError
 from repro.items.itemset import FadedItemSet, LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
 
@@ -162,18 +161,15 @@ class _PendingContribution:
     faded: FadedItemSet | None
 
 
-@dataclass
-class _FoldPreview:
+@dataclass(frozen=True)
+class _FoldPreview(Fold):
     """The root-side fold of one attempt's phase-1 aggregate, computed
     without touching committed state (applied only on commit)."""
 
-    group_totals: np.ndarray
     dense_delta: np.ndarray | None
     changed_groups: int
     changed_total: int
     faded_total: float
-    threshold: float
-    grand_total: float
     expired: int
 
 
@@ -239,6 +235,12 @@ class EpochAttempt:
         self.monitor = monitor
         self.epoch = epoch
         self.mode = mode
+        # The phase plan the driver runs (repro.core.driver.PhasePlan);
+        # decayed epochs resolve their threshold in the fold, not from a
+        # totals phase.
+        self.config = monitor.config
+        self.bank = monitor.bank
+        self.runs_totals = monitor.decay is None
         self.closed = False
         self._pending: dict[int, _PendingContribution] = {}
         self._preview: _FoldPreview | None = None
@@ -254,6 +256,10 @@ class EpochAttempt:
     @property
     def dense(self) -> bool:
         return self.mode != SPARSE
+
+    @property
+    def phase1_request(self) -> EpochAnchor | None:
+        return None if self.mode == LEGACY_DENSE else self.anchor
 
     # ------------------------------------------------------------------
     # Peer-side staging
@@ -374,8 +380,6 @@ class EpochAttempt:
         count) pairs, with the epoch anchor riding down in the request."""
         monitor = self.monitor
         if self.mode == LEGACY_DENSE:
-            from repro.core.netfilter import filtering_spec
-
             return filtering_spec(monitor.bank)
         attempt = self
         dense = self.dense
@@ -410,37 +414,9 @@ class EpochAttempt:
         """Phase 2 over this attempt's staged views (faded / windowed /
         raw), so verification prices candidates in the same decayed space
         phase 1 selected them in."""
-        monitor = self.monitor
         if self.mode == LEGACY_DENSE:
-            return verification_spec(monitor.bank)
-        attempt = self
-        bank = monitor.bank
-
-        def contribute(node: Node, heavy: HeavyGroups) -> LocalItemSet:
-            partial = materialize_candidates(attempt._view_items(node), bank, heavy)
-            sim = node.network.sim
-            sim.telemetry.registry.histogram(
-                "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
-            ).observe(len(partial))
-            sim.trace.emit(
-                sim.now,
-                "verify.materialized",
-                peer=node.peer_id,
-                candidates=len(partial),
-            )
-            return partial
-
-        def request_bytes(heavy: HeavyGroups, model: SizeModel) -> int:
-            return heavy.wire_bytes(model)
-
-        return AggregateSpec(
-            name="netfilter.candidates",
-            combiner=KeyedSumCombiner(),
-            contribute=contribute,
-            up_category=CostCategory.AGGREGATION,
-            down_category=CostCategory.DISSEMINATION,
-            request_bytes=request_bytes,
-        )
+            return verification_spec(self.bank)
+        return verification_spec(self.bank, items_of=self._view_items)
 
     # ------------------------------------------------------------------
     # Root-side fold
@@ -731,65 +707,23 @@ class ContinuousNetFilter:
     # Synchronous driver (one call = one committed wall epoch)
     # ------------------------------------------------------------------
     def run_epoch(self) -> EpochReport:
-        """Run one monitoring epoch over the current peer data."""
-        engine = self.engine
-        network = engine.network
-        accounting = network.accounting
-        model = network.size_model
-        before = accounting.bytes_by_category()
-        started_at = engine.sim.now
+        """Run one monitoring epoch over the current peer data.
+
+        Raises
+        ------
+        AggregationError
+            If the attempt failed (the root was lost); it is abandoned
+            first, so no committed state moved.
+        """
         attempt = self.begin_attempt()
-
-        handles = []
-        grand_total: float | None = None
-        n_participants = 0
-        if self.decay is None:
-            totals_handle = engine.run_session(totals_spec())
-            handles.append(totals_handle)
-            grand_total, n_participants = totals_handle.value
-        anchor = None if attempt.mode == LEGACY_DENSE else attempt.anchor
-        phase1 = engine.run_session(attempt.phase1_spec(), request_data=anchor)
-        handles.append(phase1)
-        preview = attempt.fold(phase1.value, grand_total=grand_total)
-        if self.decay is not None:
-            n_participants = phase1.covered
-        heavy = HeavyGroups.from_aggregate(
-            self.bank, preview.group_totals, preview.threshold
-        )
-        verify = engine.run_session(attempt.verification_spec(), request_data=heavy)
-        handles.append(verify)
-        candidates: LocalItemSet = verify.value
-        frequent = candidates.filter_values(preview.threshold)
-
-        after = accounting.bytes_by_category()
-        population = network.n_peers
-        diff = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=diff.get(CostCategory.FILTERING, 0) / population,
-            dissemination=diff.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=diff.get(CostCategory.AGGREGATION, 0) / population,
-            control=diff.get(CostCategory.CONTROL, 0) / population,
-        )
-        result = NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=preview.threshold,
-            grand_total=int(preview.grand_total),
-            n_participants=int(n_participants),
-            breakdown=breakdown,
-            avg_candidates_per_peer=(
-                diff.get(CostCategory.AGGREGATION, 0) / model.pair_bytes / population
-            ),
-            config=self.config,
-            elapsed_time=engine.sim.now - started_at,
-            coverage=min(handle.coverage for handle in handles),
-            complete=all(handle.complete for handle in handles),
-        )
-        report = attempt.commit(result, tuple(network.live_peers()))
+        outcome = run_attempt(self.engine, attempt)
+        if isinstance(outcome, AttemptFailure):
+            attempt.abandon()
+            raise AggregationError(
+                f"epoch {attempt.epoch} abandoned in its {outcome.phase} phase: "
+                f"{outcome.reason}"
+            )
+        report = attempt.commit(outcome, tuple(self.engine.network.live_peers()))
         self.epoch = max(self.epoch, attempt.epoch + 1)
         return report
 

@@ -169,9 +169,8 @@ class GossipNetFilter:
 
     def run(self, network: Network, requester: int = 0) -> GossipNetFilterResult:
         """Run both phases by gossip, reporting at ``requester``."""
-        accounting = network.accounting
         telemetry = network.sim.telemetry
-        before = accounting.bytes_by_category()
+        spent = network.accounting.measure()
         live_at_start = network.n_live_peers
         config = self.config
         bank = FilterBank(config.num_filters, config.filter_size, config.hash_seed)
@@ -241,19 +240,8 @@ class GossipNetFilter:
             reported = LocalItemSet.from_pairs(reported_pairs)
             span["reported"] = len(reported_pairs)
 
-        after = accounting.bytes_by_category()
         population = network.n_peers
-        breakdown = CostBreakdown(
-            gossip=(
-                after.get(CostCategory.GOSSIP, 0) - before.get(CostCategory.GOSSIP, 0)
-            )
-            / population,
-            dissemination=(
-                after.get(CostCategory.DISSEMINATION, 0)
-                - before.get(CostCategory.DISSEMINATION, 0)
-            )
-            / population,
-        )
+        breakdown = spent.breakdown(population, CostCategory.GOSSIP, CostCategory.DISSEMINATION)
         return GossipNetFilterResult(
             reported=reported,
             threshold=threshold,

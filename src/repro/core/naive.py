@@ -94,31 +94,20 @@ class NaiveProtocol:
         """Execute the full collection and return the thresholded answer
         with measured costs."""
         network = engine.network
-        accounting = network.accounting
-        before = accounting.bytes_by_category()
         started_at = engine.sim.now
 
-        totals_handle = engine.run_session(totals_spec())
-        grand_total, n_participants = totals_handle.value
-        threshold = self.config.resolve_threshold(int(grand_total))
+        with network.accounting.measure() as spent:
+            totals_handle = engine.run_session(totals_spec())
+            grand_total, n_participants = totals_handle.value
+            threshold = self.config.resolve_threshold(int(grand_total))
 
-        collection_handle = engine.run_session(full_collection_spec())
-        all_items: LocalItemSet = collection_handle.value
-        frequent = all_items.filter_values(threshold)
+            collection_handle = engine.run_session(full_collection_spec())
+            all_items: LocalItemSet = collection_handle.value
+            frequent = all_items.filter_values(threshold)
 
-        after = accounting.bytes_by_category()
         population = network.n_peers
-        naive_bytes = after.get(CostCategory.NAIVE, 0) - before.get(
-            CostCategory.NAIVE, 0
-        )
-        control_bytes = after.get(CostCategory.CONTROL, 0) - before.get(
-            CostCategory.CONTROL, 0
-        )
-        breakdown = CostBreakdown(
-            naive=naive_bytes / population,
-            control=control_bytes / population,
-        )
-        pairs_sent = naive_bytes / network.size_model.pair_bytes
+        breakdown = spent.breakdown(population, CostCategory.NAIVE, CostCategory.CONTROL)
+        pairs_sent = spent.bytes(CostCategory.NAIVE) / network.size_model.pair_bytes
         return NaiveResult(
             frequent=frequent,
             all_items=all_items,

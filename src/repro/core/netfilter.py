@@ -1,6 +1,7 @@
 """The netFilter protocol (Section III, Algorithm 1).
 
-One :meth:`NetFilter.run` performs, over an already-built hierarchy:
+One :meth:`NetFilter.run` performs, over an already-built hierarchy, the
+three convergecasts of the phase driver (:mod:`repro.core.driver`):
 
 0. A combined scalar aggregation for the grand total ``v`` and the
    participant count ``N`` (Section IV: "obtained through simple aggregate
@@ -19,114 +20,31 @@ values — the properties the oracle-equivalence tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.aggregation.combiners import (
-    KeyedSumCombiner,
-    ScalarSumCombiner,
-    TupleCombiner,
-    VectorSumCombiner,
-)
-from repro.aggregation.hierarchical import AggregationEngine, SessionHandle
+from repro.aggregation.combiners import KeyedSumCombiner, VectorSumCombiner
+from repro.aggregation.hierarchical import AggregationEngine
 from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
+from repro.core.driver import (
+    FAIL_COVERAGE,
+    NETFILTER_COST,
+    AttemptFailure,
+    Fold,
+    PhaseReissue,
+    retry,
+    run_attempt,
+)
+from repro.core.driver import NetFilterResult as NetFilterResult
+from repro.core.driver import totals_spec as totals_spec
 from repro.core.filters import FilterBank
 from repro.core.recovery import RecoveryPolicy
 from repro.core.verification import HeavyGroups, materialize_candidates
 from repro.items.itemset import LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
-
-
-@dataclass(frozen=True)
-class NetFilterResult:
-    """Everything one netFilter run produced.
-
-    Attributes
-    ----------
-    frequent:
-        The exact answer: frequent item ids with their exact global values.
-    candidates:
-        The merged candidate set the root verified (frequent items plus
-        the filtering false positives).
-    heavy_groups:
-        The heavy item groups found by phase 1.
-    threshold:
-        The absolute threshold ``t`` used.
-    grand_total:
-        The measured grand total ``v``.
-    n_participants:
-        Peers that contributed (the aggregated ``N``).
-    breakdown:
-        Measured per-peer byte costs for this run only.
-    avg_candidates_per_peer:
-        Measured average number of candidate pairs each peer propagated in
-        phase 2 — the y-axis of Figure 5(a)/6(a).
-    config:
-        The configuration that produced this result.
-    """
-
-    frequent: LocalItemSet
-    candidates: LocalItemSet
-    heavy_groups: HeavyGroups
-    threshold: float
-    grand_total: int
-    n_participants: int
-    breakdown: CostBreakdown
-    avg_candidates_per_peer: float
-    config: NetFilterConfig
-    #: Simulated time the whole run took (three convergecasts; with unit
-    #: link latency this is a few times the hierarchy height — the
-    #: latency face of the hierarchical-vs-gossip trade-off).
-    elapsed_time: float = 0.0
-    #: Worst per-phase coverage fraction (covered / live peers at phase
-    #: start) across the run's three convergecasts.
-    coverage: float = 1.0
-    #: Whether every phase covered every live peer.  Only a ``complete``
-    #: result carries the paper's no-false-negative guarantee; an
-    #: incomplete one may have silently pruned a frequent item.
-    complete: bool = True
-    #: Phase + whole-query re-issues spent getting here.
-    reissues: int = 0
-
-    @property
-    def frequent_ids(self) -> np.ndarray:
-        """Ids of the reported frequent items, ascending."""
-        return self.frequent.ids
-
-    @property
-    def candidate_count(self) -> int:
-        """Distinct candidates verified in phase 2."""
-        return len(self.candidates)
-
-    @property
-    def false_positive_count(self) -> int:
-        """Candidates that verification rejected (``fp`` in the paper —
-        false positives *of the candidate set*; the final answer has
-        none)."""
-        return len(self.candidates) - len(self.frequent)
-
-    def __str__(self) -> str:
-        return (
-            f"NetFilterResult({len(self.frequent)} frequent items, "
-            f"{self.candidate_count} candidates, t={self.threshold}, "
-            f"{self.breakdown.total:.0f} B/peer)"
-        )
-
-
-def totals_spec() -> AggregateSpec:
-    """The combined (v, N) aggregation of Section IV."""
-    return AggregateSpec(
-        name="netfilter.totals",
-        combiner=TupleCombiner(ScalarSumCombiner(), ScalarSumCombiner()),
-        contribute=lambda node, _: (node.items.total_value, 1),
-        up_category=CostCategory.CONTROL,
-    )
-
 
 def filtering_spec(bank: FilterBank) -> AggregateSpec:
     """Phase 1: the item-group aggregate vector (costs ``s_a·f·g``/peer)."""
@@ -142,12 +60,16 @@ def filtering_spec(bank: FilterBank) -> AggregateSpec:
     )
 
 
-def verification_spec(bank: FilterBank) -> AggregateSpec:
+def verification_spec(
+    bank: FilterBank, items_of: Callable[[Node], LocalItemSet] | None = None
+) -> AggregateSpec:
     """Phase 2: heavy groups ride down in the request (dissemination),
-    partial candidate sets merge upward (Algorithm 2)."""
+    partial candidate sets merge upward (Algorithm 2).  Peers materialize
+    candidates from ``items_of(node)`` (default: their raw items)."""
 
     def contribute(node: Node, heavy: HeavyGroups) -> LocalItemSet:
-        partial = materialize_candidates(node.items, bank, heavy)
+        items = node.items if items_of is None else items_of(node)
+        partial = materialize_candidates(items, bank, heavy)
         sim = node.network.sim
         sim.telemetry.registry.histogram(
             "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
@@ -173,6 +95,32 @@ def verification_spec(bank: FilterBank) -> AggregateSpec:
     )
 
 
+class OneShotPlan:
+    """The phase plan of a one-shot run: a fresh :class:`FilterBank` and
+    the configured threshold resolved against the measured grand total."""
+
+    runs_totals = True
+    phase1_request = None
+
+    def __init__(self, config: NetFilterConfig) -> None:
+        self.config = config
+        self.bank = FilterBank(config.num_filters, config.filter_size, config.hash_seed)
+
+    def phase1_spec(self) -> AggregateSpec:
+        return filtering_spec(self.bank)
+
+    def fold(self, aggregate: Any, grand_total: float | None = None) -> Fold:
+        assert grand_total is not None
+        return Fold(
+            group_totals=aggregate,
+            threshold=self.config.resolve_threshold(int(grand_total)),
+            grand_total=grand_total,
+        )
+
+    def verification_spec(self) -> AggregateSpec:
+        return verification_spec(self.bank)
+
+
 class NetFilter:
     """The two-phase in-network filtering protocol.
 
@@ -194,59 +142,6 @@ class NetFilter:
         self.config = config
         self.recovery = recovery
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        engine: AggregationEngine,
-        spec: AggregateSpec,
-        request_data: Any = None,
-    ) -> SessionHandle:
-        """One session attempt that never raises on a dead root: a root
-        that is down when the attempt starts yields a synthetic failed
-        handle, so the recovery loop can wait for failover and re-aim at
-        the promoted root instead of aborting the whole query."""
-        if not engine.network.node(engine.hierarchy.root).alive:
-            return engine.dead_root_session(spec)
-        return engine.run_session(spec, request_data)
-
-    def _run_phase(
-        self,
-        engine: AggregationEngine,
-        spec: AggregateSpec,
-        request_data: Any = None,
-    ) -> tuple[SessionHandle, int]:
-        """Run one aggregation phase; under a recovery policy, re-issue it
-        (after a backed-off settle delay) while it stays failed or below
-        the coverage floor and budget remains.  Re-issues go to whatever
-        ``engine.hierarchy.root`` is *now* — after a root failover that is
-        the promoted successor.  Returns the best handle and the re-issues
-        spent."""
-        handle = self._attempt(engine, spec, request_data)
-        reissues = 0
-        if self.recovery is None:
-            return handle, reissues
-        sim = engine.sim
-        while (
-            handle.failed or handle.coverage < self.recovery.min_coverage
-        ) and reissues < self.recovery.max_phase_reissues:
-            reissues += 1
-            sim.trace.emit(
-                sim.now,
-                "request.reissued",
-                scope="phase",
-                spec=spec.name,
-                coverage=handle.coverage,
-                attempt=reissues,
-            )
-            sim.telemetry.registry.counter("recovery.phase_reissues").inc()
-            sim.run(until=sim.now + self.recovery.delay_for(reissues))
-            retry = self._attempt(engine, spec, request_data)
-            if not retry.failed and (handle.failed or retry.coverage >= handle.coverage):
-                handle = retry
-        return handle, reissues
-
     def run(self, engine: AggregationEngine) -> NetFilterResult:
         """Execute Algorithm 1 over the engine's hierarchy and return the
         exact frequent-item set with measured costs.
@@ -255,168 +150,73 @@ class NetFilter:
         coverage falls below the policy floor are re-issued, and if the
         run still comes back incomplete the whole query is re-run (early
         phases feed later ones — an undercounted grand total corrupts the
-        threshold) up to ``max_query_reissues`` times.  A phase that loses
-        its *root* mid-flight is re-issued the same way — against whatever
-        root the hierarchy has by then, i.e. the failover successor once
-        maintenance promotes one.  Without a recovery policy a root loss
-        yields an empty result flagged ``complete=False``."""
-        result = self._run_once(engine, reissues_so_far=0)
-        attempts = 0
-        while (
-            self.recovery is not None
-            and not result.complete
-            and attempts < self.recovery.max_query_reissues
-        ):
-            attempts += 1
-            sim = engine.sim
+        threshold) up to ``max_query_reissues`` times, keeping the best
+        covered run.  A phase that loses its *root* mid-flight is
+        re-issued the same way — against whatever root the hierarchy has
+        by then, i.e. the failover successor once maintenance promotes
+        one.  Without a recovery policy a root loss yields an empty result
+        flagged ``complete=False``."""
+        recovery = self.recovery
+        sim = engine.sim
+        network = engine.network
+        best: NetFilterResult | None = None
+
+        def attempt(n: int) -> NetFilterResult | AttemptFailure:
+            nonlocal best
+            reissue = (
+                None
+                if recovery is None
+                else PhaseReissue(recovery, spent=0 if best is None else best.reissues + 1)
+            )
+            started_at = sim.now
+            with network.accounting.measure() as spent, sim.telemetry.span(
+                "netfilter.run"
+            ) as span:
+                outcome = run_attempt(engine, OneShotPlan(self.config), reissue=reissue)
+                if isinstance(outcome, NetFilterResult):
+                    span["frequent"] = len(outcome.frequent)
+            if isinstance(outcome, AttemptFailure):
+                # The root was lost beyond recovery: answer empty and
+                # flagged, never with a silently wrong frequent-item set.
+                outcome = NetFilterResult(
+                    frequent=LocalItemSet.empty(),
+                    candidates=LocalItemSet.empty(),
+                    heavy_groups=HeavyGroups(per_filter=()),
+                    threshold=0,
+                    grand_total=0,
+                    n_participants=0,
+                    breakdown=spent.breakdown(network.n_peers, *NETFILTER_COST),
+                    avg_candidates_per_peer=0.0,
+                    config=self.config,
+                    elapsed_time=sim.now - started_at,
+                    coverage=0.0,
+                    complete=False,
+                    reissues=0 if reissue is None else reissue.spent,
+                )
+            if best is None or outcome.coverage >= best.coverage:
+                best = outcome
+            return best if best.complete else AttemptFailure(FAIL_COVERAGE, "gate")
+
+        def on_retry(n: int, failure: AttemptFailure) -> None:
+            assert best is not None
             sim.trace.emit(
                 sim.now,
                 "request.reissued",
                 scope="query",
-                coverage=result.coverage,
-                attempt=attempts,
+                coverage=best.coverage,
+                attempt=n,
             )
             sim.telemetry.registry.counter("recovery.query_reissues").inc()
-            sim.run(until=sim.now + self.recovery.delay_for(attempts))
-            retry = self._run_once(engine, reissues_so_far=result.reissues + 1)
-            if retry.coverage >= result.coverage:
-                result = retry
-        return result
 
-    def _aborted_result(
-        self,
-        engine: AggregationEngine,
-        before: dict[CostCategory, int],
-        started_at: float,
-        reissues: int,
-    ) -> NetFilterResult:
-        """The honest answer when a phase lost its root and the retry
-        budget (or the absence of a recovery policy) could not restore it:
-        an empty result flagged ``complete=False`` with zero coverage —
-        never a silently wrong frequent-item set."""
-        network = engine.network
-        after = network.accounting.bytes_by_category()
-        population = network.n_peers
-        delta = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=delta.get(CostCategory.FILTERING, 0) / population,
-            dissemination=delta.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=delta.get(CostCategory.AGGREGATION, 0) / population,
-            control=delta.get(CostCategory.CONTROL, 0) / population,
-        )
-        return NetFilterResult(
-            frequent=LocalItemSet.empty(),
-            candidates=LocalItemSet.empty(),
-            heavy_groups=HeavyGroups(per_filter=()),
-            threshold=0,
-            grand_total=0,
-            n_participants=0,
-            breakdown=breakdown,
-            avg_candidates_per_peer=0.0,
-            config=self.config,
-            elapsed_time=engine.sim.now - started_at,
-            coverage=0.0,
-            complete=False,
-            reissues=reissues,
-        )
-
-    def _run_once(
-        self, engine: AggregationEngine, reissues_so_far: int
-    ) -> NetFilterResult:
-        network = engine.network
-        telemetry = engine.sim.telemetry
-        accounting = network.accounting
-        before = accounting.bytes_by_category()
-        started_at = engine.sim.now
-
-        phase_handles: list[SessionHandle] = []
-        reissues = reissues_so_far
-
-        with telemetry.span("netfilter.run") as run_span:
-            # Step 0: grand total v and participant count N.
-            with telemetry.span("totals.phase") as span:
-                handle, spent = self._run_phase(engine, totals_spec())
-                phase_handles.append(handle)
-                reissues += spent
-                if handle.failed:
-                    return self._aborted_result(engine, before, started_at, reissues)
-                grand_total, n_participants = handle.value
-                threshold = self.config.resolve_threshold(int(grand_total))
-                span["participants"] = int(n_participants)
-
-            bank = FilterBank(
-                self.config.num_filters, self.config.filter_size, self.config.hash_seed
+        if recovery is None:
+            attempt(1)
+        else:
+            retry(
+                sim,
+                attempt,
+                max_attempts=1 + recovery.max_query_reissues,
+                delay_for=recovery.delay_for,
+                on_retry=on_retry,
             )
-
-            # Phase 1: candidate filtering (Algorithm 1, lines 1-3).
-            with telemetry.span(
-                "filter.phase",
-                num_filters=self.config.num_filters,
-                filter_size=self.config.filter_size,
-            ) as span:
-                handle, spent = self._run_phase(engine, filtering_spec(bank))
-                phase_handles.append(handle)
-                reissues += spent
-                if handle.failed:
-                    return self._aborted_result(engine, before, started_at, reissues)
-                heavy = HeavyGroups.from_aggregate(bank, handle.value, threshold)
-                span["heavy_groups"] = heavy.total_count
-                telemetry.registry.histogram(
-                    "netfilter.heavy_groups", buckets=(0, 1, 4, 16, 64, 256, 1024)
-                ).observe(heavy.total_count)
-                telemetry.emit(
-                    "filter.heavy_groups",
-                    total=heavy.total_count,
-                    per_filter=list(heavy.counts),
-                    threshold=threshold,
-                )
-
-            # Phase 2: candidate verification (Algorithm 1, line 4;
-            # Algorithm 2).
-            with telemetry.span("verify.phase") as span:
-                handle, spent = self._run_phase(
-                    engine, verification_spec(bank), request_data=heavy
-                )
-                phase_handles.append(handle)
-                reissues += spent
-                if handle.failed:
-                    return self._aborted_result(engine, before, started_at, reissues)
-                candidates: LocalItemSet = handle.value
-                frequent = candidates.filter_values(threshold)
-                span["candidates"] = len(candidates)
-                span["frequent"] = len(frequent)
-            run_span["frequent"] = len(frequent)
-
-        after = accounting.bytes_by_category()
-        population = network.n_peers
-        delta = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=delta.get(CostCategory.FILTERING, 0) / population,
-            dissemination=delta.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=delta.get(CostCategory.AGGREGATION, 0) / population,
-            control=delta.get(CostCategory.CONTROL, 0) / population,
-        )
-        pairs_sent = delta.get(CostCategory.AGGREGATION, 0) / network.size_model.pair_bytes
-        coverage = min(handle.coverage for handle in phase_handles)
-        complete = all(handle.complete for handle in phase_handles)
-        return NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=threshold,
-            grand_total=int(grand_total),
-            n_participants=int(n_participants),
-            breakdown=breakdown,
-            avg_candidates_per_peer=pairs_sent / population,
-            config=self.config,
-            elapsed_time=engine.sim.now - started_at,
-            coverage=coverage,
-            complete=complete,
-            reissues=reissues,
-        )
+        assert best is not None
+        return best

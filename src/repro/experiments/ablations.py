@@ -95,17 +95,13 @@ def ablation_gossip(
     network = trial.network
     bank = FilterBank(num_filters=1, filter_size=filter_size, hash_seed=0)
 
-    before = network.accounting.bytes_by_category()
     config = NetFilterConfig(
         filter_size=filter_size, num_filters=1,
         threshold_ratio=trial.defaults.threshold_ratio,
     )
-    net_result = NetFilter(config).run(trial.engine)
-    del net_result
-    after = network.accounting.bytes_by_category()
-    hier_bytes = after.get(CostCategory.FILTERING, 0) - before.get(
-        CostCategory.FILTERING, 0
-    )
+    with network.accounting.measure() as spent:
+        NetFilter(config).run(trial.engine)
+    hier_bytes = spent.bytes(CostCategory.FILTERING)
 
     contributions = {
         peer: bank.local_group_aggregates(network.node(peer).items).astype(np.float64)
@@ -118,12 +114,9 @@ def ablation_gossip(
         length=filter_size,
         config=GossipConfig(rounds=rounds),
     )
-    before = network.accounting.bytes_by_category()
-    gossip.run()
-    after = network.accounting.bytes_by_category()
-    gossip_bytes = after.get(CostCategory.GOSSIP, 0) - before.get(
-        CostCategory.GOSSIP, 0
-    )
+    with network.accounting.measure() as spent:
+        gossip.run()
+    gossip_bytes = spent.bytes(CostCategory.GOSSIP)
     estimate = gossip.estimate_at(trial.hierarchy.root)
     nonzero = truth > 0
     rel_error = (
@@ -165,12 +158,9 @@ def ablation_parameter_estimation(
         source="oracle",
     )
     estimator = ParameterEstimator(trial.engine, SamplingConfig(n_branches=4))
-    before = trial.network.accounting.bytes_by_category()
-    sampled_estimates = estimator.run(ratio)
-    after = trial.network.accounting.bytes_by_category()
-    sampling_bytes = after.get(CostCategory.SAMPLING, 0) - before.get(
-        CostCategory.SAMPLING, 0
-    )
+    with trial.network.accounting.measure() as spent:
+        sampled_estimates = estimator.run(ratio)
+    sampling_bytes = spent.bytes(CostCategory.SAMPLING)
 
     rows = []
     for estimates in (oracle_estimates, sampled_estimates):

@@ -3,14 +3,16 @@
 The transport calls :meth:`CostAccounting.record` once per sent message;
 everything else (totals, averages, breakdowns) is derived.  Costs are
 attributed to the *sender*, matching the paper's definition of
-"bytes propagated per peer".
+"bytes propagated per peer".  A protocol run measures its own cost with
+one :meth:`CostAccounting.measure` scope.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
+from typing import Any, Iterable
 
+from repro.metrics.breakdown import CostBreakdown
 from repro.net.wire import NETFILTER_CATEGORIES, CostCategory
 
 
@@ -27,6 +29,47 @@ class MessageCell:
 
     def __init__(self) -> None:
         self.n = 0
+
+
+class ByteMeter:
+    """The bytes charged inside one :meth:`CostAccounting.measure` scope
+    (read live while the scope is open, frozen once it closes).
+
+    >>> acc = CostAccounting()
+    >>> with acc.measure() as spent:
+    ...     acc.record(peer=1, category=CostCategory.FILTERING, size=300)
+    >>> acc.record(peer=1, category=CostCategory.FILTERING, size=900)
+    >>> spent.bytes(CostCategory.FILTERING), spent.total()
+    (300, 300)
+    >>> spent.breakdown(2, CostCategory.FILTERING).filtering
+    150.0
+    """
+
+    def __init__(self, accounting: "CostAccounting") -> None:
+        self._accounting = accounting
+        self._before = accounting.bytes_by_category()
+        self._after: dict[CostCategory, int] | None = None
+
+    def __enter__(self) -> "ByteMeter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._after = self._accounting.bytes_by_category()
+
+    def bytes(self, category: CostCategory) -> int:
+        """Bytes charged to ``category`` inside the scope."""
+        after = self._accounting.bytes_by_category() if self._after is None else self._after
+        return after.get(category, 0) - self._before.get(category, 0)
+
+    def total(self) -> int:
+        """Bytes charged to every category inside the scope."""
+        return sum(self.bytes(category) for category in CostCategory)
+
+    def breakdown(self, n_peers: int, *categories: CostCategory) -> CostBreakdown:
+        """Per-peer averages over the full population ``n_peers`` for
+        exactly ``categories``; every other field stays zero."""
+        fields: dict[str, Any] = {c.value: self.bytes(c) / n_peers for c in categories}
+        return CostBreakdown(**fields)
 
 
 class CostAccounting:
@@ -123,6 +166,15 @@ class CostAccounting:
             if cell is not None:
                 total += cell.n
         return total
+
+    def measure(self) -> ByteMeter:
+        """Open a scope that meters the bytes charged until it closes::
+
+            with accounting.measure() as spent:
+                protocol.run(engine)
+            breakdown = spent.breakdown(n_peers, CostCategory.NAIVE)
+        """
+        return ByteMeter(self)
 
     def bytes_by_category(self) -> dict[CostCategory, int]:
         """Total bytes per category (categories with no recorded bytes —

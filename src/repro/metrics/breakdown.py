@@ -9,9 +9,12 @@ modules build one per trial and the report layer renders them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.metrics.accounting import CostAccounting
-from repro.net.wire import NETFILTER_CATEGORIES, CostCategory
+from repro.net.wire import CostCategory
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.metrics.accounting import CostAccounting
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,3 @@ class CostBreakdown:
             f"dissemination={self.dissemination:.1f}, "
             f"aggregation={self.aggregation:.1f})"
         )
-
-
-NETFILTER_TOTAL_CATEGORIES = NETFILTER_CATEGORIES
-"""Re-exported for callers that need the category tuple with the breakdown."""
