@@ -235,6 +235,14 @@ def test_vec_sharded_digest_replays() -> None:
     assert first.result.frequent.to_dict() == second.result.frequent.to_dict()
 
 
+def test_vec_committed_digest() -> None:
+    """The committed N=100,000 row's digest is a pure function of its
+    plan: a change to the sharded pricing, merge or answer must show up
+    here before it reaches BENCH_scaling.json."""
+    committed = {row["N"]: row["digest"] for row in json.loads(BENCH_PATH.read_text())}
+    assert run_sharded(vec_plan(100_000, 100_000), jobs=1).digest == committed[100_000]
+
+
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_SCALE", "small") == "small",
     reason="million-peer rows run at REPRO_BENCH_SCALE=paper/large only",

@@ -132,6 +132,32 @@ class NetFilterResult:
         none)."""
         return len(self.candidates) - len(self.frequent)
 
+    @classmethod
+    def empty(
+        cls,
+        config: NetFilterConfig,
+        breakdown: CostBreakdown | None = None,
+        elapsed_time: float = 0.0,
+        reissues: int = 0,
+    ) -> "NetFilterResult":
+        """The honest answer of a run whose root was lost: nothing found,
+        zero coverage, ``complete=False`` — never a silently wrong set."""
+        return cls(
+            frequent=LocalItemSet.empty(),
+            candidates=LocalItemSet.empty(),
+            heavy_groups=HeavyGroups(per_filter=()),
+            threshold=0,
+            grand_total=0,
+            n_participants=0,
+            breakdown=CostBreakdown() if breakdown is None else breakdown,
+            avg_candidates_per_peer=0.0,
+            config=config,
+            elapsed_time=elapsed_time,
+            coverage=0.0,
+            complete=False,
+            reissues=reissues,
+        )
+
     def __str__(self) -> str:
         return (
             f"NetFilterResult({len(self.frequent)} frequent items, "

@@ -176,21 +176,11 @@ class NetFilter:
                 if isinstance(outcome, NetFilterResult):
                     span["frequent"] = len(outcome.frequent)
             if isinstance(outcome, AttemptFailure):
-                # The root was lost beyond recovery: answer empty and
-                # flagged, never with a silently wrong frequent-item set.
-                outcome = NetFilterResult(
-                    frequent=LocalItemSet.empty(),
-                    candidates=LocalItemSet.empty(),
-                    heavy_groups=HeavyGroups(per_filter=()),
-                    threshold=0,
-                    grand_total=0,
-                    n_participants=0,
+                # The root was lost beyond recovery.
+                outcome = NetFilterResult.empty(
+                    self.config,
                     breakdown=spent.breakdown(network.n_peers, *NETFILTER_COST),
-                    avg_candidates_per_peer=0.0,
-                    config=self.config,
                     elapsed_time=sim.now - started_at,
-                    coverage=0.0,
-                    complete=False,
                     reissues=0 if reissue is None else reissue.spent,
                 )
             if best is None or outcome.coverage >= best.coverage:

@@ -11,6 +11,11 @@ The implementation is message-real: requests hop upstream along the tree
 (recording their route), results are source-routed back down, and every
 hop is charged to the ``CONTROL`` category (the paper does not price this
 traffic in any reported component).
+
+Answers are exact or the run raises: a :class:`ResultPayload` carries no
+completeness flag, so when the shared run is not ``complete`` (its carved
+subsets may silently miss frequent items) :meth:`MultiRequestCoordinator.run`
+raises :class:`~repro.errors.AggregationError` before any answer is sent.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig, ceil_threshold
 from repro.core.netfilter import NetFilter, NetFilterResult
-from repro.errors import ProtocolError, RequestTimeoutError
+from repro.errors import AggregationError, ProtocolError, RequestTimeoutError
 from repro.items.itemset import LocalItemSet
 from repro.net.codec import register_payload
 from repro.net.message import Message, Payload
@@ -212,6 +217,11 @@ class MultiRequestCoordinator:
             that requester's frequent-item set at *its* threshold, and
             ``shared_result`` is the underlying netFilter run at the
             minimum threshold.
+
+        Raises
+        ------
+        AggregationError
+            The shared run came back incomplete; no answer was sent.
         """
         if not requests:
             raise ProtocolError("no requests to serve")
@@ -248,6 +258,10 @@ class MultiRequestCoordinator:
             hash_seed=self.config.hash_seed,
         )
         shared_result = NetFilter(shared_config).run(engine)
+        if not shared_result.complete:
+            raise AggregationError(
+                f"shared netFilter run incomplete (coverage {shared_result.coverage:.3f})"
+            )
 
         # 3. Carve out and deliver each requester's subset.
         for payload in self._pending_at_root:

@@ -10,13 +10,15 @@ peers.  This package holds the dense tier that removes that ceiling:
 * :mod:`repro.vec.build` — vectorized population construction and the
   deterministic sharding model (:func:`build_table`);
 * :mod:`repro.vec.engine` — whole convergecast phases as batch array
-  programs with exact closed-form byte accounting;
-* :mod:`repro.vec.netfilter` — :class:`VecNetFilter`, the batched
-  protocol run returning the scalar engine's ``NetFilterResult``;
+  programs with exact closed-form byte accounting (``phase_bytes``);
+* :mod:`repro.vec.netfilter` — :class:`VecNetFilter`: two per-table
+  rounds and one result function returning the scalar engine's
+  ``NetFilterResult``;
 * :mod:`repro.vec.escape` — the dense↔sparse escape hatch and the
   sampled-subpopulation exactness audit;
 * :mod:`repro.vec.shard` — the multiprocess space-sharding driver
-  (:func:`run_sharded`) that puts an N=10^6 run on all cores.
+  (:func:`run_sharded`): the same rounds per shard, merged at a
+  super-root, to put an N=10^6 run on all cores.
 
 The contract with the scalar tier is *exact equivalence* on statically
 faulted networks: same frequent-item sets, same byte totals per cost

@@ -27,12 +27,13 @@ per peer, so telemetry and cost curves stay honest at a million peers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.filters import FilterBank
 from repro.core.verification import HeavyGroups
-from repro.net.wire import CostCategory
+from repro.net.wire import CostCategory, SizeModel
 from repro.telemetry.kinds import declare_kind
 from repro.vec.state import PeerTable
 
@@ -56,13 +57,9 @@ class PhaseBytes:
     down_category: CostCategory
     up_category: CostCategory
 
-    def add_into(self, totals: dict[CostCategory, int]) -> None:
-        totals[self.down_category] = totals.get(self.down_category, 0) + self.requests
-        totals[self.up_category] = totals.get(self.up_category, 0) + self.replies
-
 
 def phase_bytes(
-    table: PeerTable,
+    model: SizeModel,
     n_edges: int,
     request_body: int,
     reply_bodies: int,
@@ -73,13 +70,22 @@ def phase_bytes(
     bytes each, ``n_edges`` reply messages totalling ``reply_bodies``
     body bytes, plus the size model's per-message header on every
     message (0 under the paper's model)."""
-    header = table.size_model.header_bytes
+    header = model.header_bytes
     return PhaseBytes(
         requests=n_edges * (request_body + header),
         replies=reply_bodies + n_edges * header,
         down_category=down_category,
         up_category=up_category,
     )
+
+
+def category_totals(phases: Iterable[PhaseBytes]) -> dict[CostCategory, int]:
+    """Exact bytes per cost category over priced phases."""
+    totals: dict[CostCategory, int] = {}
+    for phase in phases:
+        totals[phase.down_category] = totals.get(phase.down_category, 0) + phase.requests
+        totals[phase.up_category] = totals.get(phase.up_category, 0) + phase.replies
+    return totals
 
 
 # ----------------------------------------------------------------------
@@ -211,24 +217,17 @@ def subtree_candidate_pairs(
 # ----------------------------------------------------------------------
 # Batched telemetry
 # ----------------------------------------------------------------------
-def emit_phase(
-    telemetry: object,
-    phase: str,
-    *,
-    peers: int,
-    requests: int,
-    replies: int,
-) -> None:
+def emit_phase(telemetry: object, name: str, peers: int, phase: PhaseBytes) -> None:
     """One aggregated trace event per batched phase (vs one per message
     in the scalar tier)."""
     if telemetry is None:
         return
     telemetry.emit(  # type: ignore[attr-defined]
         VEC_PHASE_KIND,
-        phase=phase,
+        phase=name,
         peers=peers,
-        request_bytes=requests,
-        reply_bytes=replies,
+        request_bytes=phase.requests,
+        reply_bytes=phase.replies,
     )
 
 

@@ -19,21 +19,154 @@ and no loss, each convergecast completes in exactly ``2·h`` time units
 (requests reach the deepest reachable leaf at ``h``; the last reply
 reaches the root at ``2·h``), so a run takes ``6·h·latency`` — the same
 value the scalar clock reads on a quiet network.
+
+A run is two per-table rounds, :func:`filter_round` (totals plus
+filtering) and :func:`verify_round`, and one :func:`netfilter_result`;
+:mod:`repro.vec.shard` runs the same rounds on every shard.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 import numpy as np
 
 from repro.core.config import NetFilterConfig
+from repro.core.driver import NETFILTER_COST
 from repro.core.filters import FilterBank
 from repro.core.netfilter import NetFilterResult
 from repro.core.verification import HeavyGroups
 from repro.items.itemset import LocalItemSet
 from repro.metrics.breakdown import CostBreakdown
-from repro.net.wire import CostCategory
+from repro.net.wire import CostCategory, SizeModel
 from repro.vec import engine as vec_engine
 from repro.vec.state import PeerTable
+
+
+def filter_phases(
+    model: SizeModel, n_edges: int, bank: FilterBank
+) -> tuple[vec_engine.PhaseBytes, vec_engine.PhaseBytes]:
+    """Price totals and filtering over ``n_edges`` tree links: an ``s_a``
+    request down each, a ``2·s_a`` totals pair and an ``s_a·f·g`` group
+    vector up each."""
+    s_a = model.aggregate_bytes
+    control, filtering = CostCategory.CONTROL, CostCategory.FILTERING
+    return (
+        vec_engine.phase_bytes(model, n_edges, s_a, n_edges * 2 * s_a, control, control),
+        vec_engine.phase_bytes(
+            model, n_edges, s_a, n_edges * s_a * bank.total_groups, control, filtering
+        ),
+    )
+
+
+def verify_phase(
+    model: SizeModel, n_edges: int, heavy: HeavyGroups, pairs_sent: int
+) -> vec_engine.PhaseBytes:
+    """Price verification over ``n_edges`` tree links: the heavy groups
+    down each, ``pairs_sent`` keyed candidate pairs up in all."""
+    return vec_engine.phase_bytes(
+        model,
+        n_edges,
+        heavy.wire_bytes(model),
+        pairs_sent * model.pair_bytes,
+        CostCategory.DISSEMINATION,
+        CostCategory.AGGREGATION,
+    )
+
+
+@dataclass(frozen=True)
+class FilterRound:
+    """A root's state after totals and filtering, and the priced phases."""
+
+    grand_total: int
+    n_participants: int
+    n_live: int
+    #: The flat ``f·g`` group-aggregate vector.
+    aggregate: np.ndarray
+    height: int
+    phases: tuple[vec_engine.PhaseBytes, ...]
+
+
+@dataclass(frozen=True)
+class VerifyRound:
+    """A root's exact candidate values after verifying ``heavy``."""
+
+    heavy: HeavyGroups
+    candidates: LocalItemSet
+    phases: tuple[vec_engine.PhaseBytes, ...]
+
+
+def filter_round(
+    table: PeerTable, reach: np.ndarray, bank: FilterBank, telemetry: object = None
+) -> FilterRound:
+    """Step 0 (grand total ``v``, participant count ``N``) and phase 1
+    (the group aggregate) over the reachable population."""
+    grand_total, n_participants = vec_engine.grand_totals(table, reach)
+    aggregate = vec_engine.group_aggregate(table, reach, bank)
+    phases = filter_phases(table.size_model, n_participants - 1, bank)
+    for name, phase in zip(("totals", "filtering"), phases):
+        vec_engine.emit_phase(telemetry, name, n_participants, phase)
+    return FilterRound(
+        grand_total=grand_total,
+        n_participants=n_participants,
+        n_live=table.n_live,
+        aggregate=aggregate,
+        height=table.reachable_height(reach),
+        phases=phases,
+    )
+
+
+def verify_round(
+    table: PeerTable,
+    reach: np.ndarray,
+    bank: FilterBank,
+    heavy: HeavyGroups,
+    telemetry: object = None,
+) -> VerifyRound:
+    """Phase 2 over the reachable population: candidates against
+    ``heavy``, merged as keyed sums (reply sizes batched level by level)."""
+    rows = vec_engine.candidate_rows(table, reach, bank, heavy)
+    pairs_sent, root_count, own_counts = vec_engine.subtree_candidate_pairs(table, rows)
+    candidates = LocalItemSet(rows.universe, vec_engine.candidate_global_values(rows))
+    assert root_count == len(candidates)
+    n_reached = int(np.count_nonzero(reach))
+    phase = verify_phase(table.size_model, n_reached - 1, heavy, pairs_sent)
+    vec_engine.emit_phase(telemetry, "verification", n_reached, phase)
+    vec_engine.observe_candidates_histogram(telemetry, own_counts[reach])
+    return VerifyRound(heavy=heavy, candidates=candidates, phases=(phase,))
+
+
+def netfilter_result(
+    config: NetFilterConfig,
+    first: FilterRound,
+    second: VerifyRound,
+    *,
+    population: int,
+    model: SizeModel,
+    latency: float = 1.0,
+) -> NetFilterResult:
+    """The scalar engine's result from a root's two rounds.  The run is
+    complete when every live peer participated."""
+    threshold = config.resolve_threshold(first.grand_total)
+    totals = vec_engine.category_totals(first.phases + second.phases)
+    per_peer: dict[str, Any] = {c.value: totals.get(c, 0) / population for c in NETFILTER_COST}
+    return NetFilterResult(
+        frequent=second.candidates.filter_values(threshold),
+        candidates=second.candidates,
+        heavy_groups=second.heavy,
+        threshold=threshold,
+        grand_total=first.grand_total,
+        n_participants=first.n_participants,
+        breakdown=CostBreakdown(**per_peer),
+        avg_candidates_per_peer=(
+            totals.get(CostCategory.AGGREGATION, 0) / model.pair_bytes / population
+        ),
+        config=config,
+        elapsed_time=6.0 * first.height * latency,
+        coverage=first.n_participants / first.n_live if first.n_live > 0 else 1.0,
+        complete=first.n_participants >= first.n_live,
+    )
 
 
 class VecNetFilter:
@@ -55,126 +188,21 @@ class VecNetFilter:
 
     def run(self, table: PeerTable, telemetry: object = None) -> NetFilterResult:
         """Execute Algorithm 1 over the columnar population."""
-        model = table.size_model
-        population = table.n_peers
         if not bool(table.alive[table.root]):
-            # Mirror the scalar engine's honest answer for a dead root:
-            # empty, complete=False, zero coverage, nothing charged.
-            return NetFilterResult(
-                frequent=LocalItemSet.empty(),
-                candidates=LocalItemSet.empty(),
-                heavy_groups=HeavyGroups(per_filter=()),
-                threshold=0,
-                grand_total=0,
-                n_participants=0,
-                breakdown=CostBreakdown(),
-                avg_candidates_per_peer=0.0,
-                config=self.config,
-                elapsed_time=0.0,
-                coverage=0.0,
-                complete=False,
-            )
-
+            # The scalar engine's honest dead-root answer: nothing charged.
+            return NetFilterResult.empty(self.config)
+        config = self.config
         reach = table.reachable_mask()
-        n_reached = int(np.count_nonzero(reach))
-        n_edges = n_reached - 1  # parent->child links the convergecasts use
-        height = table.reachable_height(reach)
-        totals: dict[CostCategory, int] = {}
-
-        # Step 0: grand total v and participant count N (TupleCombiner of
-        # two scalar sums: s_a request down, 2*s_a reply up, all CONTROL).
-        grand_total, n_participants = vec_engine.grand_totals(table, reach)
-        threshold = self.config.resolve_threshold(grand_total)
-        phase0 = vec_engine.phase_bytes(
-            table,
-            n_edges,
-            request_body=model.aggregate_bytes,
-            reply_bodies=n_edges * 2 * model.aggregate_bytes,
-            down_category=CostCategory.CONTROL,
-            up_category=CostCategory.CONTROL,
-        )
-        phase0.add_into(totals)
-        vec_engine.emit_phase(
-            telemetry,
-            "totals",
-            peers=n_reached,
-            requests=phase0.requests,
-            replies=phase0.replies,
-        )
-
-        # Phase 1: candidate filtering (s_a request down as CONTROL,
-        # s_a*f*g vector reply up as FILTERING).
-        bank = FilterBank(
-            self.config.num_filters, self.config.filter_size, self.config.hash_seed
-        )
-        aggregate = vec_engine.group_aggregate(table, reach, bank)
-        heavy = HeavyGroups.from_aggregate(bank, aggregate, threshold)
-        phase1 = vec_engine.phase_bytes(
-            table,
-            n_edges,
-            request_body=model.aggregate_bytes,
-            reply_bodies=n_edges * model.aggregate_bytes * bank.total_groups,
-            down_category=CostCategory.CONTROL,
-            up_category=CostCategory.FILTERING,
-        )
-        phase1.add_into(totals)
-        vec_engine.emit_phase(
-            telemetry,
-            "filtering",
-            peers=n_reached,
-            requests=phase1.requests,
-            replies=phase1.replies,
-        )
-
-        # Phase 2: candidate verification (heavy groups ride down as
-        # DISSEMINATION; keyed candidate sums merge up as AGGREGATION —
-        # the one tree-shape-dependent term, batched level by level).
-        rows = vec_engine.candidate_rows(table, reach, bank, heavy)
-        pairs_sent, root_count, own_counts = vec_engine.subtree_candidate_pairs(
-            table, rows
-        )
-        candidate_values = vec_engine.candidate_global_values(rows)
-        candidates = LocalItemSet(rows.universe, candidate_values)
-        assert root_count == len(candidates)
-        frequent = candidates.filter_values(threshold)
-        phase2 = vec_engine.phase_bytes(
-            table,
-            n_edges,
-            request_body=heavy.wire_bytes(model),
-            reply_bodies=pairs_sent * model.pair_bytes,
-            down_category=CostCategory.DISSEMINATION,
-            up_category=CostCategory.AGGREGATION,
-        )
-        phase2.add_into(totals)
-        vec_engine.emit_phase(
-            telemetry,
-            "verification",
-            peers=n_reached,
-            requests=phase2.requests,
-            replies=phase2.replies,
-        )
-        vec_engine.observe_candidates_histogram(telemetry, own_counts[reach])
-
-        breakdown = CostBreakdown(
-            filtering=totals.get(CostCategory.FILTERING, 0) / population,
-            dissemination=totals.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=totals.get(CostCategory.AGGREGATION, 0) / population,
-            control=totals.get(CostCategory.CONTROL, 0) / population,
-        )
-        pairs_equiv = totals.get(CostCategory.AGGREGATION, 0) / model.pair_bytes
-        expected = table.n_live
-        coverage = n_reached / expected if expected > 0 else 1.0
-        return NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=threshold,
-            grand_total=grand_total,
-            n_participants=n_participants,
-            breakdown=breakdown,
-            avg_candidates_per_peer=pairs_equiv / population,
-            config=self.config,
-            elapsed_time=6.0 * height * table.latency,
-            coverage=coverage,
-            complete=n_reached >= expected,
+        bank = FilterBank(config.num_filters, config.filter_size, config.hash_seed)
+        first = filter_round(table, reach, bank, telemetry)
+        threshold = config.resolve_threshold(first.grand_total)
+        heavy = HeavyGroups.from_aggregate(bank, first.aggregate, threshold)
+        second = verify_round(table, reach, bank, heavy, telemetry)
+        return netfilter_result(
+            config,
+            first,
+            second,
+            population=table.n_peers,
+            model=table.size_model,
+            latency=table.latency,
         )

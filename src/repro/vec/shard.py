@@ -8,15 +8,16 @@ driver plays the role of a super-root with the ``K`` shard roots as
 children:
 
 * **Round 1** (one task per shard, via
-  :func:`repro.experiments.parallel.run_trials`): each shard computes
-  its totals and phase-1 group aggregates; the driver merges ``v``,
-  ``N`` and the ``f·g`` vector, resolves the global threshold, and
-  extracts the heavy groups — the protocol's phase barrier, exactly as
-  the real root would.
-* **Round 2**: the heavy groups travel back down; each shard verifies
-  its candidates and returns its root's keyed candidate sums plus its
-  exact phase byte totals; the driver merges the candidate sets and
-  prices the ``K`` super-root links like any other tree edge.
+  :func:`repro.experiments.parallel.run_trials`): each shard runs
+  :class:`~repro.vec.netfilter.VecNetFilter`'s first round (totals and
+  phase-1 group aggregates); the driver merges ``v``, ``N`` and the
+  ``f·g`` vector, resolves the global threshold, and extracts the heavy
+  groups — the protocol's phase barrier, exactly as the real root would.
+* **Round 2**: the heavy groups travel back down; each shard runs the
+  verification round; the driver merges the candidate sets, prices the
+  ``K`` super-root links with the same ``phase_bytes`` closed forms as
+  every other tree edge, and builds the answer with the same
+  :func:`~repro.vec.netfilter.netfilter_result`.
 
 Workers are pure functions of ``(plan, shard)`` — same spec order, same
 results for ``jobs=1`` and ``jobs=K`` (the :mod:`repro.experiments.parallel`
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,10 +41,18 @@ from repro.core.verification import HeavyGroups
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.items.itemset import LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
 from repro.net.wire import CostCategory, SizeModel
 from repro.vec import engine as vec_engine
 from repro.vec.build import build_table
+from repro.vec.netfilter import (
+    FilterRound,
+    VerifyRound,
+    filter_phases,
+    filter_round,
+    netfilter_result,
+    verify_phase,
+    verify_round,
+)
 from repro.vec.state import PeerTable
 
 
@@ -78,6 +87,11 @@ class ShardPlan:
         base, extra = divmod(total, self.n_shards)
         return base + (1 if shard < extra else 0)
 
+    def bank(self) -> FilterBank:
+        """The run's filter bank (every shard and the super-root share it)."""
+        config = self.config
+        return FilterBank(config.num_filters, config.filter_size, config.hash_seed)
+
 
 def _build_shard(plan: ShardPlan, shard: int) -> tuple[PeerTable, np.ndarray]:
     built = build_table(
@@ -93,58 +107,39 @@ def _build_shard(plan: ShardPlan, shard: int) -> tuple[PeerTable, np.ndarray]:
     return built.table, built.global_values
 
 
-def _phase1_worker(plan: ShardPlan, shard: int, return_truth: bool) -> dict[str, Any]:
+def _filter_worker(
+    plan: ShardPlan, shard: int, return_truth: bool
+) -> tuple[FilterRound, np.ndarray | None]:
     """Round 1: totals + phase-1 aggregates for one shard."""
     table, truth = _build_shard(plan, shard)
-    reach = table.reachable_mask()
-    n_edges = int(np.count_nonzero(reach)) - 1
-    model = table.size_model
-    bank = FilterBank(
-        plan.config.num_filters, plan.config.filter_size, plan.config.hash_seed
-    )
-    grand_total, participants = vec_engine.grand_totals(table, reach)
-    aggregate = vec_engine.group_aggregate(table, reach, bank)
-    return {
-        "shard": shard,
-        "grand_total": grand_total,
-        "participants": participants,
-        "aggregate": aggregate,
-        "height": table.reachable_height(reach),
-        "control_bytes": n_edges * (3 * model.aggregate_bytes + model.aggregate_bytes)
-        + n_edges * 4 * model.header_bytes,
-        "filtering_bytes": n_edges * model.aggregate_bytes * bank.total_groups,
-        "truth": truth if return_truth else None,
-    }
+    first = filter_round(table, table.reachable_mask(), plan.bank())
+    return first, truth if return_truth else None
 
 
-def _phase2_worker(
-    plan: ShardPlan, shard: int, heavy_arrays: tuple[Any, ...], threshold: int
-) -> dict[str, Any]:
+def _verify_worker(plan: ShardPlan, shard: int, heavy: HeavyGroups) -> VerifyRound:
     """Round 2: candidate verification for one shard, given the globally
     merged heavy groups (rebuilds the shard deterministically — the
     table is a pure function of ``(plan, shard)``)."""
     table, _ = _build_shard(plan, shard)
-    reach = table.reachable_mask()
-    n_edges = int(np.count_nonzero(reach)) - 1
-    model = table.size_model
-    bank = FilterBank(
-        plan.config.num_filters, plan.config.filter_size, plan.config.hash_seed
+    return verify_round(table, table.reachable_mask(), plan.bank(), heavy)
+
+
+def _on_every_shard(
+    plan: ShardPlan, jobs: int, worker: Callable[..., Any], **kwargs: Any
+) -> list[Any]:
+    """One pool round: ``worker(plan, shard, **kwargs)`` per shard, in
+    shard order."""
+    return run_trials(
+        [
+            TrialSpec(
+                fn=worker,
+                kwargs={"plan": plan, "shard": s, **kwargs},
+                label=f"shard{s}-{worker.__name__}",
+            )
+            for s in range(plan.n_shards)
+        ],
+        jobs=jobs,
     )
-    heavy = HeavyGroups(
-        per_filter=tuple(np.asarray(groups, dtype=np.int64) for groups in heavy_arrays)
-    )
-    rows = vec_engine.candidate_rows(table, reach, bank, heavy)
-    pairs_sent, root_count, _ = vec_engine.subtree_candidate_pairs(table, rows)
-    values = vec_engine.candidate_global_values(rows)
-    return {
-        "shard": shard,
-        "candidate_ids": rows.universe,
-        "candidate_values": values,
-        "root_count": root_count,
-        "dissemination_bytes": n_edges * (heavy.wire_bytes(model) + model.header_bytes),
-        "aggregation_bytes": pairs_sent * model.pair_bytes
-        + n_edges * model.header_bytes,
-    }
 
 
 @dataclass(frozen=True)
@@ -173,112 +168,56 @@ def run_sharded(
     exact generation-side global values, so callers can check the merged
     answer against the oracle (used by ``bench_scaling``).
     """
-    shards = list(range(plan.n_shards))
-    round1 = run_trials(
-        [
-            TrialSpec(
-                fn=_phase1_worker,
-                kwargs={"plan": plan, "shard": s, "return_truth": return_truth},
-                label=f"shard{s}-phase1",
-            )
-            for s in shards
-        ],
-        jobs=jobs,
-    )
+    round1 = _on_every_shard(plan, jobs, _filter_worker, return_truth=return_truth)
+    # The super-root is a root like any other: its K links are tree edges
+    # priced by the same closed forms, and each shard root's reply
+    # carries its whole candidate set.
+    filtered = [r for r, _ in round1]
     model = SizeModel()
-    bank = FilterBank(
-        plan.config.num_filters, plan.config.filter_size, plan.config.hash_seed
+    k = plan.n_shards
+    bank = plan.bank()
+    first = FilterRound(
+        grand_total=sum(r.grand_total for r in filtered),
+        n_participants=sum(r.n_participants for r in filtered),
+        n_live=sum(r.n_live for r in filtered),
+        aggregate=np.sum([r.aggregate for r in filtered], axis=0),
+        height=max(r.height for r in filtered) + 1,  # +1: the super-root hop
+        phases=(*filter_phases(model, k, bank), *(p for r in filtered for p in r.phases)),
     )
-    grand_total = sum(r["grand_total"] for r in round1)
-    participants = sum(r["participants"] for r in round1)
-    aggregate = np.sum([r["aggregate"] for r in round1], axis=0)
-    threshold = plan.config.resolve_threshold(int(grand_total))
-    heavy = HeavyGroups.from_aggregate(bank, aggregate, threshold)
+    threshold = plan.config.resolve_threshold(first.grand_total)
+    heavy = HeavyGroups.from_aggregate(bank, first.aggregate, threshold)
     if telemetry is not None:
         telemetry.emit(  # type: ignore[attr-defined]
             vec_engine.VEC_SHARD_KIND,
             shards=plan.n_shards,
-            grand_total=int(grand_total),
+            grand_total=first.grand_total,
             heavy_groups=heavy.total_count,
         )
 
-    round2 = run_trials(
-        [
-            TrialSpec(
-                fn=_phase2_worker,
-                kwargs={
-                    "plan": plan,
-                    "shard": s,
-                    "heavy_arrays": tuple(g for g in heavy.per_filter),
-                    "threshold": threshold,
-                },
-                label=f"shard{s}-phase2",
-            )
-            for s in shards
-        ],
-        jobs=jobs,
-    )
-    candidates = LocalItemSet.merge_many(
-        [
-            LocalItemSet(r["candidate_ids"], r["candidate_values"])
-            for r in round2
-        ]
-    )
-    frequent = candidates.filter_values(threshold)
-
-    # The K super-root links are tree edges like any other: requests down
-    # (totals, filtering, heavy dissemination), replies up (totals pair,
-    # aggregate vector, the shard root's distinct candidate pairs).
-    k = plan.n_shards
-    totals: dict[CostCategory, int] = {
-        CostCategory.CONTROL: sum(r["control_bytes"] for r in round1)
-        + k * (4 * model.aggregate_bytes + 4 * model.header_bytes),
-        CostCategory.FILTERING: sum(r["filtering_bytes"] for r in round1)
-        + k * model.aggregate_bytes * bank.total_groups,
-        CostCategory.DISSEMINATION: sum(r["dissemination_bytes"] for r in round2)
-        + k * (heavy.wire_bytes(model) + model.header_bytes),
-        CostCategory.AGGREGATION: sum(r["aggregation_bytes"] for r in round2)
-        + sum(r["root_count"] for r in round2) * model.pair_bytes
-        + k * model.header_bytes,
-    }
-    population = plan.n_peers
-    breakdown = CostBreakdown(
-        filtering=totals[CostCategory.FILTERING] / population,
-        dissemination=totals[CostCategory.DISSEMINATION] / population,
-        aggregation=totals[CostCategory.AGGREGATION] / population,
-        control=totals[CostCategory.CONTROL] / population,
-    )
-    height = max(r["height"] for r in round1) + 1  # +1: the super-root hop
-    result = NetFilterResult(
-        frequent=frequent,
-        candidates=candidates,
-        heavy_groups=heavy,
-        threshold=threshold,
-        grand_total=int(grand_total),
-        n_participants=int(participants),
-        breakdown=breakdown,
-        avg_candidates_per_peer=(
-            totals[CostCategory.AGGREGATION] / model.pair_bytes / population
+    verified: list[VerifyRound] = _on_every_shard(plan, jobs, _verify_worker, heavy=heavy)
+    root_pairs = sum(len(r.candidates) for r in verified)
+    second = VerifyRound(
+        heavy=heavy,
+        candidates=LocalItemSet.merge_many([r.candidates for r in verified]),
+        phases=(
+            verify_phase(model, k, heavy, root_pairs),
+            *(p for r in verified for p in r.phases),
         ),
-        config=plan.config,
-        elapsed_time=6.0 * height,
-        coverage=1.0,
-        complete=True,
     )
+    result = netfilter_result(plan.config, first, second, population=plan.n_peers, model=model)
+    totals = vec_engine.category_totals(first.phases + second.phases)
     digest = replay_digest(plan, result, totals)
-    truth = None
-    if return_truth:
-        truth = np.sum([r["truth"] for r in round1], axis=0)
+    truth = np.sum([t for _, t in round1], axis=0) if return_truth else None
     per_shard = tuple(
         {
             "shard": s,
-            "participants": round1[s]["participants"],
-            "grand_total": round1[s]["grand_total"],
-            "height": round1[s]["height"],
-            "root_candidates": round2[s]["root_count"],
+            "participants": filtered[s].n_participants,
+            "grand_total": filtered[s].grand_total,
+            "height": filtered[s].height,
+            "root_candidates": len(verified[s].candidates),
             **({"truth": truth} if return_truth and s == 0 else {}),
         }
-        for s in shards
+        for s in range(plan.n_shards)
     )
     return ShardedResult(result=result, plan=plan, digest=digest, per_shard=per_shard)
 

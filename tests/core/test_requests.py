@@ -7,8 +7,9 @@ import pytest
 from repro.core.config import NetFilterConfig
 from repro.core.oracle import oracle_frequent_items
 from repro.core.requests import IfiRequest, MultiRequestCoordinator
-from repro.errors import ProtocolError, RequestTimeoutError
+from repro.errors import AggregationError, ProtocolError, RequestTimeoutError
 from repro.faults import DropMessages, FaultInjector, FaultScenario, MessageMatch
+from repro.net.wire import CostCategory
 
 from tests.conftest import build_small_system
 
@@ -147,3 +148,39 @@ def test_dropped_result_times_out_promptly():
         )
     message = str(excinfo.value)
     assert str(leaves[0]) in message or str(leaves[1]) in message
+
+
+@pytest.mark.parametrize("seed", range(6, 12))
+def test_incomplete_shared_run_raises_instead_of_answering(seed):
+    """A lost candidate-aggregation reply leaves the shared run
+    incomplete; carving it would hand every requester a silently wrong
+    subset, so the coordinator must refuse before sending any answer."""
+    system = build_small_system(seed=seed)
+    coordinator = MultiRequestCoordinator(system.engine, CONFIG)
+    root = system.hierarchy.root
+    child = min(system.hierarchy.children_of(root))
+    FaultInjector(
+        system.network,
+        FaultScenario(
+            name="eat-one-aggregation-reply",
+            actions=(
+                DropMessages(
+                    match=MessageMatch(
+                        sender=child,
+                        recipient=root,
+                        category=CostCategory.AGGREGATION,
+                    ),
+                    count=1,
+                ),
+            ),
+        ),
+    ).install()
+    sent: list[str] = []
+    system.sim.trace.subscribe(
+        "msg.sent", lambda record: sent.append(record.fields["payload_kind"])
+    )
+    leaves = system.hierarchy.leaves()
+    with pytest.raises(AggregationError, match="coverage"):
+        coordinator.run([IfiRequest(leaves[0], 0.01), IfiRequest(leaves[1], 0.02)])
+    assert "RequestPayload" in sent
+    assert "ResultPayload" not in sent
