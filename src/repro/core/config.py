@@ -17,11 +17,11 @@ def ceil_threshold(threshold_ratio: float, grand_total: int | float) -> int:
     """The canonical ratio-to-absolute threshold derivation ``t = ⌈ρ·v⌉``
     (floored at 1 so an empty network still has a meaningful threshold).
 
-    Every layer that turns a ratio into an absolute threshold —
-    :meth:`NetFilterConfig.resolve_threshold`, the multi-request carving
-    of :mod:`repro.core.requests`, the front door's per-tenant answers —
-    must go through this one function, or two layers can disagree on
-    item-set membership at the threshold boundary.
+    Every ratio-to-threshold conversion goes through this one function
+    (:meth:`NetFilterConfig.resolve_threshold`, and
+    :func:`repro.core.requests.carve`, the one place that carves answers
+    from a shared superset), or two layers could disagree on item-set
+    membership at the threshold boundary.
     """
     return max(int(-(-threshold_ratio * grand_total // 1)), 1)
 

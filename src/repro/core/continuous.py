@@ -600,8 +600,8 @@ class EpochAttempt:
 class ContinuousNetFilter:
     """Epoch-driven netFilter with committed delta filtering and decay.
 
-    Drive it synchronously (each call is one wall epoch that always
-    commits)::
+    Drive it synchronously (each call is one wall epoch that commits or
+    raises)::
 
         monitor = ContinuousNetFilter(config, engine)
         for _ in range(epochs):
@@ -704,19 +704,21 @@ class ContinuousNetFilter:
         return EpochAttempt(self, epoch, self.choose_mode(force_dense))
 
     # ------------------------------------------------------------------
-    # Synchronous driver (one call = one committed wall epoch)
+    # Synchronous driver (one call = one wall epoch: commit or raise)
     # ------------------------------------------------------------------
     def run_epoch(self) -> EpochReport:
-        """Run one monitoring epoch over the current peer data.
+        """Run one gated monitoring epoch over the current peer data: it
+        commits or raises.
 
         Raises
         ------
         AggregationError
-            If the attempt failed (the root was lost); it is abandoned
-            first, so no committed state moved.
+            If the attempt failed (the root was lost, or the commit gate
+            refused it); it is abandoned first, so no committed state
+            moved.
         """
         attempt = self.begin_attempt()
-        outcome = run_attempt(self.engine, attempt)
+        outcome = run_attempt(self.engine, attempt, gated=True)
         if isinstance(outcome, AttemptFailure):
             attempt.abandon()
             raise AggregationError(

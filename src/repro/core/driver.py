@@ -16,9 +16,9 @@ filtering, then candidate verification.  One-shot
   fold that turns the phase-1 aggregate into group totals and a
   threshold, and the verification spec — and returns a
   :class:`NetFilterResult` or an :class:`AttemptFailure` naming one
-  ``FAIL_*`` reason.  Gated callers (those that commit
-  state) pass ``min_coverage``; the gate then also refuses an attempt
-  whose membership moved under it.
+  ``FAIL_*`` reason.  Every caller that commits an answer passes
+  ``gated=True``: the gate refuses an attempt that missed any live peer
+  or whose membership moved under it.
 * :func:`retry` re-runs a failed attempt with a backed-off settle delay
   until it succeeds, the attempt budget is spent, or the deadline passes.
 """
@@ -50,7 +50,7 @@ FAIL_DEADLINE = "deadline"
 FAIL_ROOT_DEAD = "root_dead"
 #: The root was down at a phase's start or died during it.
 FAIL_ROOT_LOST = "root_lost"
-#: The attempt covered fewer live peers than the gate's floor.
+#: A phase of the attempt missed a live peer.
 FAIL_COVERAGE = "coverage"
 #: A peer died, joined, or crashed and revived during the attempt.
 FAIL_MEMBERSHIP = "membership_changed"
@@ -300,24 +300,23 @@ def run_attempt(
     plan: PhasePlan,
     *,
     deadline: float | None = None,
-    min_coverage: float | None = None,
+    gated: bool = False,
     reissue: PhaseReissue | None = None,
 ) -> NetFilterResult | AttemptFailure:
     """One totals → filter → verify attempt over ``plan``.
 
-    ``min_coverage`` gates the result for callers that commit state: the
-    attempt fails with ``membership_changed`` if the membership moved
-    under it, and with ``coverage`` if it covered less than the floor
-    (``1.0`` demands every phase complete).  Ungated attempts return
-    incomplete results flagged ``complete=False``.  ``reissue`` re-runs
-    short phases under a recovery policy.
+    ``gated`` is for callers that commit an answer: the attempt fails
+    with ``membership_changed`` if the membership moved under it, and
+    with ``coverage`` if any phase missed a live peer.  Ungated attempts
+    return incomplete results flagged ``complete=False``.  ``reissue``
+    re-runs short phases under a recovery policy.
     """
     sim = engine.sim
     telemetry = sim.telemetry
     network = engine.network
     config = plan.config
     started_at = sim.now
-    live_at_start = tuple(network.live_peers()) if min_coverage is not None else ()
+    live_at_start = tuple(network.live_peers()) if gated else ()
     handles: list[SessionHandle] = []
 
     def phase(
@@ -379,11 +378,10 @@ def run_attempt(
 
         coverage = min(handle.coverage for handle in handles)
         complete = all(handle.complete for handle in handles)
-        if min_coverage is not None:
+        if gated:
             if _membership_moved(network, live_at_start, started_at):
                 return AttemptFailure(FAIL_MEMBERSHIP, "gate")
-            short = not complete if min_coverage >= 1.0 else coverage < min_coverage
-            if short:
+            if not complete:
                 return AttemptFailure(FAIL_COVERAGE, "gate")
 
     population = network.n_peers

@@ -2,31 +2,36 @@
 
 Multiple peers may simultaneously ask for frequent items with different
 thresholds.  Rather than one hierarchy and one netFilter per request, the
-paper routes every request to the root, runs netFilter once with the
-*minimum* requested threshold, and carves each requester's answer out of
-the resulting superset (items frequent at ``t_min`` include items frequent
-at any larger ``t``).
+paper runs netFilter once with the *minimum* requested threshold and
+carves each requester's answer out of the resulting superset (items
+frequent at ``t_min`` include items frequent at any larger ``t``).
 
-The implementation is message-real: requests hop upstream along the tree
+That session is :func:`run_shared` and :func:`carve` cuts its answers;
+:class:`MultiRequestCoordinator` and the front door's batches
+(:mod:`repro.frontdoor.batching`) both run it.
+
+The coordinator is message-real: requests hop upstream along the tree
 (recording their route), results are source-routed back down, and every
 hop is charged to the ``CONTROL`` category (the paper does not price this
 traffic in any reported component).
 
 Answers are exact or the run raises: a :class:`ResultPayload` carries no
-completeness flag, so when the shared run is not ``complete`` (its carved
-subsets may silently miss frequent items) :meth:`MultiRequestCoordinator.run`
-raises :class:`~repro.errors.AggregationError` before any answer is sent.
+completeness flag, so when the shared session fails the commit gate (its
+carved subsets may silently miss frequent items) the coordinator raises
+:class:`~repro.errors.AggregationError` before any answer is sent.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig, ceil_threshold
-from repro.core.netfilter import NetFilter, NetFilterResult
+from repro.core.driver import AttemptFailure, NetFilterResult, retry, run_attempt
+from repro.core.netfilter import OneShotPlan
 from repro.errors import AggregationError, ProtocolError, RequestTimeoutError
 from repro.items.itemset import LocalItemSet
 from repro.net.codec import register_payload
@@ -40,6 +45,70 @@ from repro.net.wire import CostCategory, SizeModel
 #: loop with a confusing per-node error; this guard turns it into one
 #: clear :class:`ProtocolError` before anything is touched.
 _ATTACHED_NETWORKS: "weakref.WeakSet[Network]" = weakref.WeakSet()
+
+
+def carve(
+    frequent: LocalItemSet, grand_total: float, threshold_ratio: float
+) -> tuple[LocalItemSet, int]:
+    """One requester's answer cut from a shared superset, and its
+    absolute threshold ``⌈ratio·grand_total⌉``."""
+    threshold = ceil_threshold(threshold_ratio, grand_total)
+    return frequent.filter_values(threshold), threshold
+
+
+@dataclass(frozen=True)
+class SharedSession:
+    """One shared session's outcome: the result at the minimum ratio (or
+    the failure ``reason``) and the bytes of every attempt, retries
+    included — requesters pay for what the network actually carried."""
+
+    result: NetFilterResult | None
+    reason: str
+    attempts: int
+    bytes_spent: float
+    min_ratio: float
+
+    @property
+    def committed(self) -> bool:
+        return self.result is not None
+
+    def carve(self, threshold_ratio: float) -> tuple[LocalItemSet, int]:
+        """One requester's answer at its own ratio (see :func:`carve`)."""
+        assert self.result is not None
+        return carve(self.result.frequent, self.result.grand_total, threshold_ratio)
+
+
+def run_shared(
+    engine: AggregationEngine,
+    base: NetFilterConfig,
+    ratios: Iterable[float],
+    *,
+    deadline: float | None = None,
+    max_attempts: int = 1,
+    delay_for: Callable[[int], float] = lambda attempt: 0.0,
+    on_retry: Callable[[int, AttemptFailure], None] | None = None,
+) -> SharedSession:
+    """Serve ``ratios`` with one gated session at their minimum, using
+    ``base``'s filter settings; failed attempts are retried under
+    :func:`~repro.core.driver.retry` up to the absolute ``deadline``."""
+    min_ratio = min(ratios)
+    plan = OneShotPlan(replace(base, threshold_ratio=min_ratio, threshold=None))
+    with engine.network.accounting.measure() as spent:
+        outcome, attempts = retry(
+            engine.sim,
+            lambda n: run_attempt(engine, plan, deadline=deadline, gated=True),
+            max_attempts=max_attempts,
+            delay_for=delay_for,
+            deadline=deadline,
+            on_retry=on_retry,
+        )
+    return SharedSession(
+        result=None if isinstance(outcome, AttemptFailure) else outcome,
+        reason=outcome.reason if isinstance(outcome, AttemptFailure) else "",
+        attempts=attempts,
+        bytes_spent=float(spent.total()),
+        min_ratio=min_ratio,
+    )
 
 
 @dataclass(frozen=True)
@@ -220,18 +289,26 @@ class MultiRequestCoordinator:
 
         Raises
         ------
+        ProtocolError
+            No requests, a non-positive timeout, or two requests from one
+            requester (answers are keyed by requester); nothing was sent.
         AggregationError
-            The shared run came back incomplete; no answer was sent.
+            The shared session failed (the commit gate refused it, or its
+            root was lost); no answer was sent.
         """
         if not requests:
             raise ProtocolError("no requests to serve")
         if timeout <= 0:
             raise ProtocolError(f"timeout must be positive, got {timeout}")
+        asked = Counter(request.requester for request in requests)
+        repeated = sorted(peer for peer, count in asked.items() if count > 1)
+        if repeated:
+            raise ProtocolError(f"peers {repeated} requested more than once in one call")
+        requesters = set(asked)
         engine = self.engine
         sim = engine.sim
         hierarchy = engine.hierarchy
         network = engine.network
-        requesters = {request.requester for request in requests}
 
         # 1. Every requester fires its request toward the root.
         self._pending_at_root.clear()
@@ -249,26 +326,16 @@ class MultiRequestCoordinator:
             missing=lambda: sorted(requesters - self._arrived_requesters()),
         )
 
-        # 2. One netFilter run at the minimum threshold ratio.
-        min_ratio = min(p.threshold_ratio for p in self._pending_at_root)
-        shared_config = NetFilterConfig(
-            filter_size=self.config.filter_size,
-            num_filters=self.config.num_filters,
-            threshold_ratio=min_ratio,
-            hash_seed=self.config.hash_seed,
+        # 2. One shared session at the minimum threshold ratio.
+        shared = run_shared(
+            engine, self.config, [p.threshold_ratio for p in self._pending_at_root]
         )
-        shared_result = NetFilter(shared_config).run(engine)
-        if not shared_result.complete:
-            raise AggregationError(
-                f"shared netFilter run incomplete (coverage {shared_result.coverage:.3f})"
-            )
+        if shared.result is None:
+            raise AggregationError(f"shared netFilter session failed: {shared.reason}")
 
         # 3. Carve out and deliver each requester's subset.
         for payload in self._pending_at_root:
-            threshold = ceil_threshold(
-                payload.threshold_ratio, shared_result.grand_total
-            )
-            subset = shared_result.frequent.filter_values(threshold)
+            subset, _ = shared.carve(payload.threshold_ratio)
             if not payload.route:
                 # The root asked for itself.
                 self._delivered[hierarchy.root] = subset
@@ -284,4 +351,4 @@ class MultiRequestCoordinator:
             stage="result delivery",
             missing=lambda: sorted(requesters - set(self._delivered)),
         )
-        return dict(self._delivered), shared_result
+        return dict(self._delivered), shared.result

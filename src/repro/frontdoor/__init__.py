@@ -10,8 +10,10 @@ Layers, bottom to top:
 * :mod:`repro.frontdoor.admission` — token-bucket rate limits, byte
   budgets, and queue-depth shedding, all on simulated time;
 * :mod:`repro.frontdoor.cache` — the honest-staleness fast path;
-* :mod:`repro.frontdoor.batching` — N-way shared sessions at the
-  minimum requested threshold, deadline-bounded with retries;
+* :mod:`repro.frontdoor.batching` — each batch's deadline, retries and
+  telemetry around the Section III-A.1 shared session at the minimum
+  requested threshold (:func:`repro.core.requests.run_shared`, which the
+  :class:`~repro.core.requests.MultiRequestCoordinator` runs too);
 * :mod:`repro.frontdoor.service` — :class:`FrontDoor`, the round-based
   orchestrator tying them together with a circuit breaker and a
   client-side termination sweep.
@@ -22,7 +24,7 @@ from repro.frontdoor.admission import (
     AdmissionController,
     TenantAccount,
 )
-from repro.frontdoor.batching import BatchOutcome, BatchSessionRunner, PendingRequest
+from repro.frontdoor.batching import BatchSessionRunner, PendingRequest
 from repro.frontdoor.cache import AnswerCache, CacheEntry, CacheHit
 from repro.frontdoor.config import NO_RETRY, FrontDoorConfig, TenantPolicy
 from repro.frontdoor.payloads import (
@@ -38,7 +40,6 @@ __all__ = [
     "Admission",
     "AdmissionController",
     "AnswerCache",
-    "BatchOutcome",
     "BatchSessionRunner",
     "CacheEntry",
     "CacheHit",

@@ -96,13 +96,9 @@ class FrontDoorConfig:
     max_session_retries:
         Attempts beyond the first for one batch's session.
     retry_backoff:
-        Settle delay before the first session retry.
-    backoff_factor:
-        Multiplier on the settle delay per further retry.
-    min_coverage:
-        Coverage floor for a session to count as committed; ``1.0``
-        demands exactness (every live peer folded in), matching the
-        :class:`~repro.core.recovery.RecoveryPolicy` contract.
+        Settle delay before the first session retry; it doubles per
+        further retry.  A session commits only if every live peer was
+        folded in (the driver's exact commit gate).
     client_timeout:
         Client-side deadline per request, from submission.  A request
         unanswered past it terminates as ``REJECTED(timeout)`` — the
@@ -126,8 +122,6 @@ class FrontDoorConfig:
     session_deadline: float = 150.0
     max_session_retries: int = 2
     retry_backoff: float = 10.0
-    backoff_factor: float = 2.0
-    min_coverage: float = 1.0
     client_timeout: float = 400.0
     breaker_threshold: int = 3
     breaker_reset: float = 120.0
@@ -156,14 +150,6 @@ class FrontDoorConfig:
             raise ConfigurationError(
                 f"retry_backoff must be non-negative, got {self.retry_backoff}"
             )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be at least 1, got {self.backoff_factor}"
-            )
-        if not 0 < self.min_coverage <= 1.0:
-            raise ConfigurationError(
-                f"min_coverage must be in (0, 1], got {self.min_coverage}"
-            )
         if self.client_timeout <= self.round_interval:
             raise ConfigurationError(
                 "client_timeout must exceed round_interval (a request must "
@@ -180,4 +166,4 @@ class FrontDoorConfig:
 
     def retry_delay(self, attempt: int) -> float:
         """Settle delay before session retry number ``attempt`` (1-based)."""
-        return self.retry_backoff * self.backoff_factor ** (attempt - 1)
+        return self.retry_backoff * 2.0 ** (attempt - 1)

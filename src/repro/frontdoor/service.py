@@ -31,9 +31,10 @@ from typing import Any, Mapping
 
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig
+from repro.core.requests import SharedSession
 from repro.errors import ProtocolError
 from repro.frontdoor.admission import AdmissionController
-from repro.frontdoor.batching import BatchOutcome, BatchSessionRunner, PendingRequest
+from repro.frontdoor.batching import BatchSessionRunner, PendingRequest
 from repro.frontdoor.cache import AnswerCache, CacheHit
 from repro.frontdoor.config import NO_RETRY, FrontDoorConfig, TenantPolicy
 from repro.frontdoor.payloads import (
@@ -465,7 +466,7 @@ class FrontDoor:
             self._pump_breaker()
             served = self._serve_cached_queue()
             batch = self._take_batch() if self._breaker_allows() else []
-            outcome: BatchOutcome | None = None
+            outcome: SharedSession | None = None
             if batch:
                 outcome = self.runner.run(batch)
                 self._settle_batch(batch, outcome)
@@ -539,7 +540,7 @@ class FrontDoor:
         self._queue = queue
         return live
 
-    def _settle_batch(self, batch: list[PendingRequest], outcome: BatchOutcome) -> None:
+    def _settle_batch(self, batch: list[PendingRequest], outcome: SharedSession) -> None:
         """Answer every batch member and charge its tenant an equal
         share of the session's measured byte cost."""
         share = outcome.bytes_spent / len(batch)
@@ -635,7 +636,7 @@ class FrontDoor:
     def _record_round_row(
         self,
         batch: list[PendingRequest],
-        outcome: BatchOutcome | None,
+        outcome: SharedSession | None,
         served: int,
         shed: int,
         expired: int,

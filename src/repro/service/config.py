@@ -25,13 +25,9 @@ class ServiceConfig:
         bounds the total even if attempts remain).
     retry_backoff:
         Settle delay before the first retry (lets in-flight repair
-        traffic — failovers, re-adoptions — land before re-asking).
-    backoff_factor:
-        Multiplier on the settle delay per further retry.
-    min_coverage:
-        Coverage floor for commit: every phase of the attempt must cover
-        at least this fraction of the peers live at its start.  1.0 (the
-        default) demands full coverage — the exactness gate.
+        traffic — failovers, re-adoptions — land before re-asking); it
+        doubles per further retry.  An attempt commits only if every
+        phase covered every live peer (the driver's exact commit gate).
     max_staleness:
         The service's advertised staleness bound, in epochs.  Serving an
         answer older than this is a contract violation: it is still
@@ -46,8 +42,6 @@ class ServiceConfig:
     deadline: float = 180.0
     max_attempts: int = 3
     retry_backoff: float = 20.0
-    backoff_factor: float = 2.0
-    min_coverage: float = 1.0
     max_staleness: int = 8
     rebaseline_after: int = 3
 
@@ -68,14 +62,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"retry_backoff must be non-negative, got {self.retry_backoff}"
             )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be at least 1, got {self.backoff_factor}"
-            )
-        if not 0 < self.min_coverage <= 1.0:
-            raise ConfigurationError(
-                f"min_coverage must be in (0, 1], got {self.min_coverage}"
-            )
         if self.max_staleness < 1:
             raise ConfigurationError(
                 f"max_staleness must be at least 1 epoch, got {self.max_staleness}"
@@ -87,4 +73,4 @@ class ServiceConfig:
 
     def delay_for(self, attempt: int) -> float:
         """Settle delay before retry number ``attempt`` (1-based)."""
-        return self.retry_backoff * self.backoff_factor ** (attempt - 1)
+        return self.retry_backoff * 2.0 ** (attempt - 1)

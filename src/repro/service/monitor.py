@@ -256,7 +256,7 @@ class MonitorService:
                 self.engine,
                 attempt,
                 deadline=deadline_at,
-                min_coverage=self.config.min_coverage,
+                gated=True,
             )
             if isinstance(outcome, AttemptFailure):
                 attempt.abandon()

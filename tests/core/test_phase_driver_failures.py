@@ -6,6 +6,8 @@
   unchanged, yet its verification share is missing from the answer.
 * A dense continuous epoch whose root dies mid-phase must abandon the
   attempt and raise a typed error, with nothing committed.
+* A continuous epoch with a phase short of full coverage must likewise
+  raise instead of committing an answer that misses a peer's delta.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from repro.core.config import NetFilterConfig
 from repro.core.continuous import ContinuousNetFilter
 from repro.core.oracle import oracle_frequent_items
 from repro.errors import AggregationError
+from repro.faults import DropMessages, FaultInjector, FaultScenario, MessageMatch
 from repro.frontdoor.batching import BatchSessionRunner, PendingRequest
 from repro.frontdoor.config import FrontDoorConfig
+from repro.net.wire import CostCategory
 from repro.service import MonitorService, ServiceConfig
+from repro.workload.streams import ZipfStream
 from tests.conftest import build_small_system
 
 CONFIG = NetFilterConfig(
@@ -167,3 +172,59 @@ def test_run_epoch_abandons_when_the_root_dies_mid_phase(spec_name, phase):
     assert monitor._ledger.keys() == committed_ledgers.keys()
     for peer, ledger in committed_ledgers.items():
         assert monitor._ledger[peer] is ledger
+
+
+def assert_oracle_exact(system, result) -> None:
+    truth = oracle_frequent_items(system.network, result.threshold)
+    assert result.complete
+    assert np.array_equal(result.frequent.ids, truth.ids)
+    assert np.array_equal(result.frequent.values, truth.values)
+
+
+@pytest.mark.parametrize("seed", range(6, 12))
+def test_run_epoch_refuses_an_epoch_with_a_lost_filtering_reply(seed):
+    system = build_small_system(seed=seed)
+    hierarchy = system.hierarchy
+    monitor = ContinuousNetFilter(CONFIG, system.engine)
+    stream = ZipfStream(
+        n_items=2000,
+        n_peers=60,
+        skew=1.0,
+        instances_per_epoch=200,
+        rng=system.sim.rng.stream("stream"),
+    )
+    monitor.run_epoch()
+    committed_totals = monitor._group_totals.copy()
+    committed_ledgers = dict(monitor._ledger)
+
+    FaultInjector(
+        system.network,
+        FaultScenario(
+            name="eat-one-filtering-reply",
+            actions=(
+                DropMessages(
+                    match=MessageMatch(
+                        sender=min(hierarchy.children_of(hierarchy.root)),
+                        recipient=hierarchy.root,
+                        category=CostCategory.FILTERING,
+                    ),
+                    count=1,
+                ),
+            ),
+        ),
+    ).install()
+    stream.apply_to(system.network)
+    with pytest.raises(AggregationError, match="gate phase: coverage"):
+        monitor.run_epoch()
+
+    assert monitor.committed_epoch == 0
+    assert len(monitor.reports) == 1
+    assert np.array_equal(monitor._group_totals, committed_totals)
+    assert monitor._ledger.keys() == committed_ledgers.keys()
+    for peer, ledger in committed_ledgers.items():
+        assert monitor._ledger[peer] is ledger
+
+    assert_oracle_exact(system, monitor.run_epoch().result)
+    for _ in range(3):
+        stream.apply_to(system.network)
+        assert_oracle_exact(system, monitor.run_epoch().result)

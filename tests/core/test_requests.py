@@ -9,6 +9,8 @@ from repro.core.oracle import oracle_frequent_items
 from repro.core.requests import IfiRequest, MultiRequestCoordinator
 from repro.errors import AggregationError, ProtocolError, RequestTimeoutError
 from repro.faults import DropMessages, FaultInjector, FaultScenario, MessageMatch
+from repro.frontdoor.batching import BatchSessionRunner, PendingRequest
+from repro.frontdoor.config import FrontDoorConfig
 from repro.net.wire import CostCategory
 
 from tests.conftest import build_small_system
@@ -184,3 +186,58 @@ def test_incomplete_shared_run_raises_instead_of_answering(seed):
         coordinator.run([IfiRequest(leaves[0], 0.01), IfiRequest(leaves[1], 0.02)])
     assert "RequestPayload" in sent
     assert "ResultPayload" not in sent
+
+
+@pytest.mark.parametrize(("seed", "bytes_spent"), [(6, 110_204), (7, 109_692)])
+def test_coordinator_and_batch_share_one_session(seed, bytes_spent):
+    """The coordinator's routed requests and a front-door batch with the
+    same ratios run the same min-threshold session and carve the same
+    answers from it."""
+    routed = build_small_system(seed=seed)
+    batched = build_small_system(seed=seed)
+    leaves = routed.hierarchy.leaves()[:3]
+    ratios = (0.05, 0.01, 0.02)
+    answers, shared = MultiRequestCoordinator(routed.engine, CONFIG).run(
+        [IfiRequest(peer, ratio) for peer, ratio in zip(leaves, ratios)]
+    )
+    outcome = BatchSessionRunner(batched.engine, CONFIG, FrontDoorConfig()).run(
+        [
+            PendingRequest(
+                request_id=n,
+                tenant="t",
+                requester=peer,
+                threshold_ratio=ratio,
+                max_staleness=0,
+                submitted_at=0.0,
+                deadline=1_000.0,
+            )
+            for n, (peer, ratio) in enumerate(zip(leaves, ratios))
+        ]
+    )
+    result = outcome.result
+    assert result is not None
+    assert result.threshold == shared.threshold
+    assert result.grand_total == shared.grand_total
+    assert result.breakdown == shared.breakdown
+    assert result.frequent == shared.frequent
+    assert result.candidates == shared.candidates
+    assert result.elapsed_time == shared.elapsed_time
+    for peer, ratio in zip(leaves, ratios):
+        assert answers[peer] == outcome.carve(ratio)[0]
+    assert outcome.bytes_spent == bytes_spent
+
+
+def test_one_requester_asking_twice_is_refused():
+    """Answers are keyed by requester, so a second request from the same
+    peer would silently overwrite the first one's answer; the coordinator
+    refuses the call before any message is sent."""
+    system = build_small_system(seed=6)
+    coordinator = MultiRequestCoordinator(system.engine, CONFIG)
+    sent: list[str] = []
+    system.sim.trace.subscribe(
+        "msg.sent", lambda record: sent.append(record.fields["payload_kind"])
+    )
+    leaf = system.hierarchy.leaves()[0]
+    with pytest.raises(ProtocolError, match=rf"\[{leaf}\] requested more than once"):
+        coordinator.run([IfiRequest(leaf, 0.01), IfiRequest(leaf, 0.05)])
+    assert sent == []

@@ -131,7 +131,6 @@ def test_tenant_policy_validation(kwargs):
         {"max_queue_depth": 0},
         {"session_deadline": -1.0},
         {"max_session_retries": -1},
-        {"min_coverage": 1.5},
         {"client_timeout": 10.0, "round_interval": 30.0},
         {"breaker_threshold": 0},
     ],

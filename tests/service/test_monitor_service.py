@@ -191,10 +191,6 @@ def test_service_config_validation():
     with pytest.raises(ConfigurationError):
         ServiceConfig(retry_backoff=-1.0)
     with pytest.raises(ConfigurationError):
-        ServiceConfig(backoff_factor=0.5)
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(min_coverage=0.0)
-    with pytest.raises(ConfigurationError):
         ServiceConfig(max_staleness=0)
     with pytest.raises(ConfigurationError):
         ServiceConfig(rebaseline_after=0)
